@@ -473,7 +473,8 @@ func (p *Prepared) Run() (*Result, error) {
 		DataVersion:   r.DataVersion,
 	}
 	// Decode into pre-sized rows backed by one string slab: one
-	// allocation for the row index, one for all cells.
+	// allocation for the row index, one for all cells, and one
+	// lock-free indexed load of the stored rendering per cell.
 	out.Rows = make([][]string, len(r.Rows))
 	cells := 0
 	for _, row := range r.Rows {
@@ -484,7 +485,7 @@ func (p *Prepared) Run() (*Result, error) {
 		dec := slab[:len(row):len(row)]
 		slab = slab[len(row):]
 		for i, id := range row {
-			dec[i] = p.eng.dict.Term(id).String()
+			dec[i] = p.eng.dict.String(id)
 		}
 		out.Rows[ri] = dec
 	}

@@ -12,11 +12,10 @@ import (
 
 // ExecContext carries cross-layer execution state threaded from the
 // engine facade down to the workers: the parallelism settings handed
-// to the mapreduce runtime, an optional per-job stats sink, and the
-// reusable scratch (per-lane arenas, shuffle buffers, plan-shaped
-// intermediate tables) the executor draws from. One ExecContext may
-// serve many plan executions; the scratch amortizes allocations across
-// them. An ExecContext serves one execution at a time.
+// to the mapreduce runtime and the reusable scratch (per-lane arenas,
+// shuffle buffers, plan-shaped intermediate tables) the executor draws
+// from. One ExecContext may serve many plan executions; the scratch
+// amortizes allocations across them. An ExecContext serves one execution at a time.
 //
 // A context built with NewExecContext owns a persistent mapreduce
 // worker pool, lazily spawned on first use and parked between jobs;
@@ -29,9 +28,6 @@ type ExecContext struct {
 	Parallelism int
 	// Sequential forces the single-goroutine mapreduce runtime.
 	Sequential bool
-	// StatsSink, if non-nil, receives each job's stats as the job
-	// completes (before the next job starts).
-	StatsSink func(mapreduce.JobStats)
 
 	// pooled marks contexts that own a persistent worker pool.
 	pooled bool

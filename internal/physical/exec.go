@@ -26,13 +26,12 @@ type Executor struct {
 	Cluster *mapreduce.Cluster
 	Part    *partition.Partitioner
 	Dict    *rdf.Dict
-	// Ctx carries parallelism settings, the stats sink and the
-	// per-lane arenas; nil means a fresh default context inheriting
-	// the Cluster's runtime settings. Execute never mutates the
-	// Cluster's own configuration — runtime settings travel through
-	// the job-run call path (RunWith options), so a directly
-	// constructed Cluster keeps whatever Parallelism/Sequential/
-	// Scratch its owner set.
+	// Ctx carries parallelism settings and the per-lane arenas; nil
+	// means a fresh default context inheriting the Cluster's runtime
+	// settings. Execute never mutates the Cluster's own configuration
+	// — runtime settings travel through the job-run call path (RunWith
+	// options), so a directly constructed Cluster keeps whatever
+	// Parallelism/Sequential/Scratch its owner set.
 	Ctx *ExecContext
 	// View, if non-nil, is the partition epoch the execution reads.
 	// When nil, Execute pins the partitioner's current view. Either
@@ -72,10 +71,9 @@ type Result struct {
 }
 
 // runJob executes one job on the cluster under the context's runtime
-// settings — capturing its charge trace into rec when non-nil — and
-// forwards its stats to the context's sink, if any.
+// settings, capturing its charge trace into rec when non-nil.
 func (x *Executor) runJob(job mapreduce.Job, rec *mapreduce.JobRecord) *mapreduce.Output {
-	out := x.Cluster.RunWith(job, mapreduce.RunOptions{
+	return x.Cluster.RunWith(job, mapreduce.RunOptions{
 		Sequential: x.Ctx.Sequential,
 		Workers:    x.Ctx.Parallelism,
 		Pool:       x.Ctx.workerPool(),
@@ -85,19 +83,6 @@ func (x *Executor) runJob(job mapreduce.Job, rec *mapreduce.JobRecord) *mapreduc
 		// a reshard may resize the store mid-query.
 		Nodes: x.view.Nodes(),
 	})
-	if x.Ctx.StatsSink != nil {
-		x.Ctx.StatsSink(x.Cluster.Jobs[len(x.Cluster.Jobs)-1])
-	}
-	return out
-}
-
-// replayJob appends a cached job's stats as if it had just run (see
-// mapreduce.Cluster.Replay) and forwards them to the stats sink.
-func (x *Executor) replayJob(name string, rec *mapreduce.JobRecord) {
-	x.Cluster.Replay(name, rec)
-	if x.Ctx.StatsSink != nil {
-		x.Ctx.StatsSink(x.Cluster.Jobs[len(x.Cluster.Jobs)-1])
-	}
 }
 
 // copyRowHeaders clones a cached row set's headers so callers never
@@ -154,7 +139,7 @@ func (x *Executor) Execute(pp *Plan) (*Result, error) {
 					}
 				},
 			}, rec)
-			return x.finishRows(out.Rows())
+			return x.finishRows(out.Rows(), len(q.Select))
 		}
 		if x.ResultCache != nil {
 			ent, hit, err := x.ResultCache.Do(pp.JobKeys[0], x.view.VersionKey(), func() (*rescache.Entry, error) {
@@ -165,7 +150,7 @@ func (x *Executor) Execute(pp *Plan) (*Result, error) {
 				return nil, err
 			}
 			if hit {
-				x.replayJob(name, ent.Rec)
+				x.Cluster.Replay(name, ent.Rec)
 			}
 			finalRows = copyRowHeaders(ent.Final)
 		} else {
@@ -302,7 +287,7 @@ func (x *Executor) Execute(pp *Plan) (*Result, error) {
 			if x.ResultCache == nil {
 				out := runLevel(nil)
 				if isLast {
-					finalRows = x.finishRows(out.Rows())
+					finalRows = x.finishRows(out.Rows(), len(q.Select))
 				}
 				continue
 			}
@@ -325,7 +310,7 @@ func (x *Executor) Execute(pp *Plan) (*Result, error) {
 				}
 				var final []mapreduce.Row
 				if isLast {
-					final = x.finishRows(out.Rows())
+					final = x.finishRows(out.Rows(), len(q.Select))
 				}
 				return rescache.NewEntry(rec, snap, final), nil
 			})
@@ -337,7 +322,7 @@ func (x *Executor) Execute(pp *Plan) (*Result, error) {
 				// job log and restore the level's intermediate rows
 				// positionally — infos order is deterministic and the key
 				// pins the level's reduce-join IDs.
-				x.replayJob(name, ent.Rec)
+				x.Cluster.Replay(name, ent.Rec)
 				for i := range ent.Interm {
 					id := infos[i].ID
 					for node, rows := range ent.Interm[i] {
@@ -364,14 +349,15 @@ func (x *Executor) Execute(pp *Plan) (*Result, error) {
 	return res, nil
 }
 
-// finishRows produces the canonical result set — distinct rows in
-// sorted order — using the context's worker pool for large results.
-func (x *Executor) finishRows(rows []mapreduce.Row) []mapreduce.Row {
+// finishRows produces the canonical result set of w-wide rows —
+// distinct rows in sorted order — using the context's worker pool for
+// large results.
+func (x *Executor) finishRows(rows []mapreduce.Row, w int) []mapreduce.Row {
 	var pool *mapreduce.Pool
 	if !x.Ctx.Sequential {
 		pool = x.Ctx.workerPool()
 	}
-	return dedupeSortRows(rows, pool)
+	return dedupeSortRows(rows, w, pool)
 }
 
 // buildMorsels lays out one job level's map morsels per node, in the

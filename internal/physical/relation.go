@@ -206,71 +206,3 @@ func (r *relation) project(a *arena, attrs []string) relation {
 	}
 	return out
 }
-
-// hashRow hashes a row's full contents (FNV-1a word folding over the
-// cells, length mixed in, splitmix finalizer).
-func hashRow(row mapreduce.Row) uint64 {
-	h := uint64(14695981039346656037)
-	h = (h ^ uint64(len(row))) * 1099511628211
-	for _, v := range row {
-		h = (h ^ uint64(uint32(v))) * 1099511628211
-	}
-	return mix64(h)
-}
-
-func rowEqual(a, b mapreduce.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// dedupe removes duplicate rows in place (set semantics of BGP
-// evaluation), keeping first occurrences in order. Rows are hashed on
-// their contents into an open-addressing set: no per-row key string,
-// one bucket-array allocation per call.
-func dedupe(rows []mapreduce.Row) []mapreduce.Row {
-	if len(rows) <= 1 {
-		return rows
-	}
-	size := 8
-	for size < 2*len(rows) {
-		size <<= 1
-	}
-	buckets := make([]int32, size) // kept-row index + 1; 0 = empty
-	mask := uint32(size - 1)
-	out := rows[:0]
-	for _, row := range rows {
-		h := hashRow(row)
-		slot := uint32(h) & mask
-		dup := false
-		for {
-			e := buckets[slot]
-			if e == 0 {
-				buckets[slot] = int32(len(out)) + 1
-				break
-			}
-			if rowEqual(out[e-1], row) {
-				dup = true
-				break
-			}
-			slot = (slot + 1) & mask
-		}
-		if !dup {
-			out = append(out, row)
-		}
-	}
-	return out
-}
-
-// sortRows orders rows lexicographically for deterministic output.
-func sortRows(rows []mapreduce.Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		return rowLess(rows[i], rows[j])
-	})
-}

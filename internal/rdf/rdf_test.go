@@ -7,29 +7,37 @@ import (
 	"testing/quick"
 )
 
+// trickyTerms have values holding the other kinds' delimiters, or
+// nothing at all.
+var trickyTerms = []Term{
+	NewIRI("http://example.org/a"), NewLiteral("hello"), NewBlank("b0"),
+	NewIRI("hello"), // same value, different kind than the literal
+	NewIRI(""), NewLiteral(""), NewBlank(""),
+	NewIRI("a>b"), NewIRI(`"x"`), NewIRI("_:b"), NewIRI("<>"),
+	NewLiteral(`say "hi"`), NewLiteral(">"), NewLiteral("_:b"), NewLiteral(`"`),
+	NewBlank("_:x"), NewBlank(">"), NewBlank(`"`), NewBlank("<a>"),
+}
+
 func TestDictRoundTrip(t *testing.T) {
 	d := NewDict()
-	terms := []Term{
-		NewIRI("http://example.org/a"),
-		NewLiteral("hello"),
-		NewBlank("b0"),
-		NewIRI("hello"), // same value, different kind than the literal
-	}
-	ids := make([]TermID, len(terms))
-	for i, tm := range terms {
+	ids := make([]TermID, len(trickyTerms))
+	for i, tm := range trickyTerms {
 		ids[i] = d.Encode(tm)
 	}
-	for i, tm := range terms {
+	for i, tm := range trickyTerms {
 		if got := d.Term(ids[i]); got != tm {
-			t.Errorf("Term(%d) = %v, want %v", ids[i], got, tm)
+			t.Errorf("Term(%d) = %#v, want %#v", ids[i], got, tm)
+		}
+		if got := d.String(ids[i]); got != tm.String() {
+			t.Errorf("String(%d) = %q, want %q", ids[i], got, tm.String())
 		}
 		id, ok := d.Lookup(tm)
 		if !ok || id != ids[i] {
-			t.Errorf("Lookup(%v) = %d,%v want %d,true", tm, id, ok, ids[i])
+			t.Errorf("Lookup(%#v) = %d,%v want %d,true", tm, id, ok, ids[i])
 		}
 	}
-	if d.Len() != len(terms) {
-		t.Errorf("Len = %d, want %d", d.Len(), len(terms))
+	if d.Len() != len(trickyTerms) {
+		t.Errorf("Len = %d, want %d: distinct terms shared an id", d.Len(), len(trickyTerms))
 	}
 }
 
@@ -40,6 +48,9 @@ func TestDictKindsDisjoint(t *testing.T) {
 	c := d.Encode(NewBlank("x"))
 	if a == b || b == c || a == c {
 		t.Errorf("IDs for iri/literal/blank %q collide: %d %d %d", "x", a, b, c)
+	}
+	if d.String(a) != "<x>" || d.String(b) != `"x"` || d.String(c) != "_:x" {
+		t.Errorf("String = %q %q %q", d.String(a), d.String(b), d.String(c))
 	}
 }
 
@@ -62,12 +73,22 @@ func TestDictLookupMissing(t *testing.T) {
 
 func TestDictTermPanicsOnBadID(t *testing.T) {
 	d := NewDict()
-	defer func() {
-		if recover() == nil {
-			t.Error("Term(NoTerm) did not panic")
+	d.EncodeIRI("a")
+	for _, id := range []TermID{NoTerm, 2} {
+		for name, decode := range map[string]func(TermID){
+			"Term":   func(id TermID) { d.Term(id) },
+			"String": func(id TermID) { d.String(id) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d) did not panic", name, id)
+					}
+				}()
+				decode(id)
+			}()
 		}
-	}()
-	d.Term(NoTerm)
+	}
 }
 
 func TestGraphDeduplicates(t *testing.T) {

@@ -64,17 +64,3 @@ func (t Term) String() string {
 	}
 	return t.Value
 }
-
-// key returns the dictionary key for the term. Kinds live in disjoint
-// namespaces so an IRI and a literal with the same lexical value encode
-// to different IDs.
-func (t Term) key() string {
-	switch t.Kind {
-	case IRI:
-		return "i" + t.Value
-	case Literal:
-		return "l" + t.Value
-	default:
-		return "b" + t.Value
-	}
-}

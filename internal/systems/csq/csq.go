@@ -62,8 +62,6 @@ type Config struct {
 	// Sequential forces the single-goroutine runtime (results and
 	// stats are identical either way; this is the debugging baseline).
 	Sequential bool
-	// StatsSink, if non-nil, receives each job's stats as it completes.
-	StatsSink func(mapreduce.JobStats)
 	// PlanCacheSize caps the number of prepared plans the engine
 	// retains, keyed on canonical query fingerprints; 0 means a default
 	// of 256 entries, negative disables plan caching entirely. The cap
@@ -381,7 +379,6 @@ func (e *Engine) execContext() *physical.ExecContext {
 	e.ctxMu.Unlock()
 	c := physical.NewExecContext(e.cfg.Parallelism)
 	c.Sequential = e.cfg.Sequential
-	c.StatsSink = e.cfg.StatsSink
 	return c
 }
 

@@ -309,3 +309,42 @@ func TestCacheDisabled(t *testing.T) {
 		t.Errorf("disabled cache reported stats %+v", st)
 	}
 }
+
+// TestResultRowsNotAliasedAcrossRuns mutates every returned row of
+// every LUBM query on an engine with the result cache on: the next
+// run, served from the cache, must still return the original answer,
+// so no returned row shares memory with a cache-owned slab.
+func TestResultRowsNotAliasedAcrossRuns(t *testing.T) {
+	eng, err := NewEngine(lubmGraph(1), Options{ResultCacheBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range lubm.Queries() {
+		first, err := eng.Run(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		want := make([][]string, len(first.Rows))
+		for i, row := range first.Rows {
+			want[i] = append([]string(nil), row...)
+		}
+		for run := 0; run < 2; run++ {
+			for _, row := range first.Rows {
+				for i := range row {
+					row[i] = "<mutated>"
+				}
+			}
+			again, err := eng.Run(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q.Name, err)
+			}
+			if !reflect.DeepEqual(again.Rows, want) {
+				t.Fatalf("%s run %d: rows changed after mutating an earlier result", q.Name, run+2)
+			}
+			first = again
+		}
+	}
+	if st := eng.ResultCacheStats(); st.Hits == 0 {
+		t.Fatalf("result cache never hit: %+v", st)
+	}
+}
